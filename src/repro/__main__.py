@@ -75,8 +75,6 @@ def _flow_config(arguments):
         overrides["engine"] = arguments.engine
     if getattr(arguments, "pipeline", None) is not None:
         overrides["pipeline"] = arguments.pipeline
-    if getattr(arguments, "jobs", None) is not None:
-        overrides["dse_jobs"] = arguments.jobs
     if getattr(arguments, "trace", None):
         overrides["trace"] = True
     if getattr(arguments, "profile", False):
@@ -219,7 +217,6 @@ def _cmd_report(arguments) -> int:
     results = runner.run_all(quick=arguments.quick,
                              sim_engine=arguments.engine,
                              validate=arguments.validate,
-                             jobs=arguments.jobs or 1,
                              timing=arguments.timing)
     print(results.render())
     return 0
@@ -276,14 +273,11 @@ def _cmd_stats(arguments) -> int:
         flow.simulate_batch(range(arguments.seeds))
         artifacts = flow.source
         if getattr(artifacts, "hls_program", None) is not None:
-            options = config.hls_options()
             with config.limits():
                 # Second compile re-explores the same design points: the
                 # DSE schedule memo serves them.
-                compile_program(artifacts.hls_program, artifacts.hls_function,
-                                options=options)
-                compile_program(artifacts.hls_program, artifacts.hls_function,
-                                options=options)
+                compile_program(artifacts.hls_program, artifacts.hls_function)
+                compile_program(artifacts.hls_program, artifacts.hls_function)
     print(f"workload: {arguments.kernel} x (validate x2 + "
           f"{arguments.seeds}-lane sweep + HLS compile x2)\n")
     print(render_cache_report())
@@ -542,8 +536,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="simulation engine for simulated experiments")
     report.add_argument("--validate", action="store_true",
                         help="cross-check every kernel against its reference")
-    report.add_argument("--jobs", type=int, default=None,
-                        help="DSE parallelism for the --timing breakdown")
     report.add_argument("--timing", action="store_true",
                         help="append compile-timing breakdowns")
     report.set_defaults(handler=_cmd_report)

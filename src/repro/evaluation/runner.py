@@ -122,7 +122,7 @@ def render_validation(rows: Dict[str, ValidationRow]) -> str:
     return "\n".join(lines)
 
 
-def render_compile_timing(quick: bool = False, jobs: int = 1,
+def render_compile_timing(quick: bool = False,
                           config: Optional[FlowConfig] = None) -> str:
     """A ``--timing`` breakdown of one representative compile of each flow.
 
@@ -141,10 +141,9 @@ def render_compile_timing(quick: bool = False, jobs: int = 1,
 
     artifacts = flow.source
     with config.limits():
-        result = compile_program(artifacts.hls_program, artifacts.hls_function,
-                                 options=config.hls_options(jobs=jobs))
+        result = compile_program(artifacts.hls_program, artifacts.hls_function)
     report = result.report
-    lines = [f"Compile timing breakdown (gemm, size={size}, jobs={jobs})",
+    lines = [f"Compile timing breakdown (gemm, size={size})",
              "",
              "HIR optimization pipeline:",
              flow.pass_report(),
@@ -193,8 +192,7 @@ class EvaluationResults:
 
 
 def run_all(quick: bool = False, sim_engine: Optional[str] = None,
-            validate: bool = False, jobs: int = 1,
-            timing: bool = False,
+            validate: bool = False, timing: bool = False,
             config: Optional[FlowConfig] = None) -> EvaluationResults:
     """Regenerate every experiment; ``quick`` shrinks problem sizes.
 
@@ -203,10 +201,9 @@ def run_all(quick: bool = False, sim_engine: Optional[str] = None,
     pre-Flow CLI) additionally sets the process-wide default simulation
     engine so non-Flow experiments pick it up too.  ``validate`` appends a
     functional-validation sweep of every kernel to the results.  ``timing``
-    appends per-pass / per-phase compile-time breakdowns; ``jobs`` sets the
-    fast path's DSE parallelism for that breakdown (results are identical
-    at any job count).  The Table 6 columns themselves are never affected:
-    the baseline there stays frozen at the seed configuration.
+    appends per-pass / per-phase compile-time breakdowns.  The Table 6
+    columns themselves are never affected: the baseline there stays frozen
+    at the seed configuration.
     """
     config = config or FlowConfig.from_env()
     if sim_engine is None:
@@ -235,7 +232,6 @@ def run_all(quick: bool = False, sim_engine: Optional[str] = None,
                 config=config))
         if timing:
             results.compile_timing = render_compile_timing(quick=quick,
-                                                           jobs=jobs,
                                                            config=config)
         return results
     finally:
@@ -256,17 +252,12 @@ def main() -> None:  # pragma: no cover - manual entry point
                         help="simulation engine for every simulated experiment")
     parser.add_argument("--validate", action="store_true",
                         help="cross-check every kernel against its reference")
-    parser.add_argument("--jobs", type=int, default=1,
-                        help="parallel DSE candidate evaluations for the "
-                             "--timing fast-path breakdown (identical "
-                             "results at any job count; Table 6's frozen "
-                             "baseline is never parallelised)")
     parser.add_argument("--timing", action="store_true",
                         help="append per-pass / per-phase compile timing "
                              "breakdowns")
     arguments = parser.parse_args()
     print(run_all(quick=arguments.quick, sim_engine=arguments.engine,
-                  validate=arguments.validate, jobs=arguments.jobs,
+                  validate=arguments.validate,
                   timing=arguments.timing).render())
 
 

@@ -27,8 +27,8 @@ documented precedence (highest wins):
 1. **per-call keyword** — ``flow.simulate(seed, engine="compiled")``;
 2. **FlowConfig field** — ``Flow(..., config=FlowConfig(engine="compiled"))``;
 3. **process default** — :func:`repro.sim.set_default_engine`;
-4. **environment** — ``REPRO_SIM_ENGINE``, ``REPRO_DSE_JOBS``,
-   ``REPRO_DSE_EXECUTOR``, ``REPRO_DSE_MEMO_SIZE``, ``REPRO_SIM_CACHE_SIZE``
+4. **environment** — ``REPRO_SIM_ENGINE``, ``REPRO_DSE_MEMO_SIZE``,
+   ``REPRO_SIM_CACHE_SIZE``, ``REPRO_STORE_DIR``
    (``FlowConfig.from_env()`` snapshots all of them);
 5. **built-in default**.
 
@@ -79,8 +79,6 @@ PIPELINES: Tuple[str, ...] = ("optimize", "verify", "none", "legacy")
 #: config field each one feeds.
 ENV_VARS: Dict[str, str] = {
     "REPRO_SIM_ENGINE": "engine",
-    "REPRO_DSE_JOBS": "dse_jobs",
-    "REPRO_DSE_EXECUTOR": "dse_executor",
     "REPRO_DSE_MEMO_SIZE": "dse_memo_size",
     "REPRO_SIM_CACHE_SIZE": "sim_cache_size",
     "REPRO_STORE_DIR": "store_dir",
@@ -123,9 +121,7 @@ class FlowConfig:
     #: Testbench defaults for simulate()/simulate_batch().
     drain_cycles: int = 16
     max_cycles: int = 100000
-    #: Baseline-HLS design-space exploration (None: REPRO_DSE_* env).
-    dse_jobs: Optional[int] = None
-    dse_executor: Optional[str] = None
+    #: Baseline-HLS DSE schedule-memo bound (None: REPRO_DSE_MEMO_SIZE env).
     dse_memo_size: Optional[int] = None
     #: Simulator compile-cache bound (None: REPRO_SIM_CACHE_SIZE env).
     sim_cache_size: Optional[int] = None
@@ -160,14 +156,6 @@ class FlowConfig:
                     f"unknown simulation engine {self.engine!r}; choose one "
                     f"of {available_engines()}"
                 )
-        if self.dse_jobs is not None and self.dse_jobs < 1:
-            raise FlowError(f"dse_jobs must be >= 1, got {self.dse_jobs}")
-        if self.dse_executor is not None and self.dse_executor not in (
-                "thread", "process"):
-            raise FlowError(
-                f"dse_executor must be 'thread' or 'process', "
-                f"got {self.dse_executor!r}"
-            )
 
     # -- construction -------------------------------------------------------
     @classmethod
@@ -183,16 +171,13 @@ class FlowConfig:
         values: Dict[str, Any] = {}
         if "REPRO_SIM_ENGINE" in env:
             values["engine"] = env["REPRO_SIM_ENGINE"]
-        for var, attr in (("REPRO_DSE_JOBS", "dse_jobs"),
-                          ("REPRO_DSE_MEMO_SIZE", "dse_memo_size"),
+        for var, attr in (("REPRO_DSE_MEMO_SIZE", "dse_memo_size"),
                           ("REPRO_SIM_CACHE_SIZE", "sim_cache_size")):
             if var in env:
                 try:
                     values[attr] = int(env[var])
                 except ValueError:
                     pass
-        if "REPRO_DSE_EXECUTOR" in env:
-            values["dse_executor"] = env["REPRO_DSE_EXECUTOR"]
         if "REPRO_STORE_DIR" in env:
             values["store_dir"] = env["REPRO_STORE_DIR"]
         values.update(overrides)
@@ -211,19 +196,6 @@ class FlowConfig:
             return self.engine
         from repro.sim.engine import get_default_engine
         return get_default_engine()
-
-    def hls_options(self, jobs: Optional[int] = None):
-        """Build :class:`repro.hls.options.HLSOptions` under this config
-        (per-call ``jobs`` wins, then config, then ``REPRO_DSE_*``)."""
-        from repro.hls.options import HLSOptions
-        kwargs: Dict[str, Any] = {}
-        if jobs is not None:
-            kwargs["jobs"] = jobs
-        elif self.dse_jobs is not None:
-            kwargs["jobs"] = self.dse_jobs
-        if self.dse_executor is not None:
-            kwargs["executor"] = self.dse_executor
-        return HLSOptions(**kwargs)
 
     def resolve_store(self):
         """The :class:`repro.store.ArtifactStore` this config persists to.

@@ -1,10 +1,10 @@
 """Deterministic fault injection and recovery primitives.
 
 :mod:`repro.resilience.faults` provides the seeded :class:`FaultPlan` and
-the :func:`fault_point` hooks that :mod:`repro.store`, the parallel DSE
-(:mod:`repro.hls.dse`) and the simulation-engine compile path declare.
-:class:`WorkerError` is the typed error a supervised DSE sweep raises when a
-candidate cannot be evaluated even after retry and serial fallback.
+the :func:`fault_point` hooks that :mod:`repro.store`, the ``repro serve``
+shard pool (:mod:`repro.serve.pool`) and the simulation-engine compile path
+declare.  :class:`WorkerError` is the typed error the serve shard pool
+raises when a request fails every retry or outlives its timeout.
 
 See the README "Robustness & persistence" section for the fault-point map
 and the degradation ladder.
@@ -31,8 +31,8 @@ from repro.resilience.faults import (
 
 
 class WorkerError(HLSError):
-    """A DSE worker failed (crash/timeout) and every recovery attempt —
-    in-process retry, serial fallback — failed with it."""
+    """A ``repro serve`` shard-pool request failed every in-place retry, or
+    timed out before any worker resolved it."""
 
 
 __all__ = [

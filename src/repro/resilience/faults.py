@@ -1,13 +1,13 @@
 """Deterministic fault injection: every failure mode is a seeded test input.
 
-A persistent artifact store (or a parallel DSE sweep) that survives faults
+A persistent artifact store (or a serving worker pool) that survives faults
 only *probably* is worthless — the recovery paths must be exercised exactly
 like the happy paths are.  This module turns each failure mode into a named,
 seeded, replayable event:
 
 * Code under test declares **fault points** — ``fault_point("store.write",
   payload=data)`` — at the places where the outside world can go wrong
-  (writes, fsyncs, renames, reads, locks, worker evaluations, engine
+  (writes, fsyncs, renames, reads, locks, served requests, engine
   compiles).  With no plan installed a fault point is a no-op returning its
   payload unchanged, so the hooks are free in production.
 * A :class:`FaultPlan` holds :class:`FaultRule`\\ s — *which* point misfires,
@@ -17,16 +17,16 @@ seeded, replayable event:
   byte-for-byte from ``(program seed, plan spec)``.
 * Plans install process-wide via :func:`install_plan` (tests), or through
   the ``REPRO_FAULT_PLAN`` environment variable (CI chaos jobs, subprocess
-  crash tests, process-pool DSE workers — children inherit the environment
-  and self-install on their first fault point).
+  crash tests — children inherit the environment and self-install on their
+  first fault point).
 
 Plan specs are compact strings, validated by :func:`FaultPlan.parse`::
 
     store.write:io_error          # first write raises an injected OSError
     store.write:torn@2            # 2nd write is torn (partial temp + error)
     store.payload:corrupt         # first payload is bit-flipped
-    dse.candidate:error@3*2       # evaluations 3 and 4 raise
-    dse.candidate:timeout(0.4)    # first evaluation stalls 400 ms
+    engine.compile:error@2        # 2nd simulator compile raises
+    serve.shard:timeout(0.4)      # first shard dispatch stalls 400 ms
     store.rename:crash            # SIGKILL between temp write and publish
 
 Multiple rules join with ``;`` (or ``,``).  The injected exceptions subclass
@@ -172,7 +172,7 @@ class FaultPlan:
     """A seeded set of :class:`FaultRule`\\ s plus per-point hit counters.
 
     Hit counters are per *plan instance* (and therefore per process for
-    env-installed plans), guarded by a lock so concurrent DSE workers count
+    env-installed plans), guarded by a lock so concurrent serve workers count
     deterministically in aggregate.
     """
 
@@ -274,8 +274,8 @@ def active_plan() -> Optional[FaultPlan]:
     """The installed plan; reads ``REPRO_FAULT_PLAN`` once on first use.
 
     Returns ``None`` when fault injection is off (the overwhelmingly common
-    case).  Process-pool workers inherit the environment, so a plan set for
-    a CI chaos run reaches every process that hits a fault point.
+    case).  Child processes inherit the environment, so a plan set for a CI
+    chaos run reaches every process that hits a fault point.
     """
     global _ACTIVE
     if _ACTIVE is _UNSET:

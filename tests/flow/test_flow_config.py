@@ -20,8 +20,6 @@ class TestFromEnv:
     def test_every_env_var_round_trips(self):
         env = {
             "REPRO_SIM_ENGINE": "compiled",
-            "REPRO_DSE_JOBS": "3",
-            "REPRO_DSE_EXECUTOR": "process",
             "REPRO_DSE_MEMO_SIZE": "17",
             "REPRO_SIM_CACHE_SIZE": "5",
             "REPRO_STORE_DIR": "/tmp/repro-store-roundtrip",
@@ -29,8 +27,6 @@ class TestFromEnv:
         assert set(env) == set(ENV_VARS)
         config = FlowConfig.from_env(env)
         assert config.engine == "compiled"
-        assert config.dse_jobs == 3
-        assert config.dse_executor == "process"
         assert config.dse_memo_size == 17
         assert config.sim_cache_size == 5
         assert config.store_dir == "/tmp/repro-store-roundtrip"
@@ -38,26 +34,21 @@ class TestFromEnv:
     def test_unset_variables_inherit(self):
         config = FlowConfig.from_env({})
         assert config.engine is None
-        assert config.dse_jobs is None
-        assert config.dse_executor is None
         assert config.dse_memo_size is None
         assert config.sim_cache_size is None
 
     def test_real_environment_round_trip(self, monkeypatch):
         for var, value in (("REPRO_SIM_ENGINE", "interpreted"),
-                           ("REPRO_DSE_JOBS", "2"),
-                           ("REPRO_DSE_EXECUTOR", "thread"),
                            ("REPRO_DSE_MEMO_SIZE", "99"),
                            ("REPRO_SIM_CACHE_SIZE", "7")):
             monkeypatch.setenv(var, value)
         config = FlowConfig.from_env()
-        assert (config.engine, config.dse_jobs, config.dse_executor,
-                config.dse_memo_size, config.sim_cache_size) == (
-                    "interpreted", 2, "thread", 99, 7)
+        assert (config.engine, config.dse_memo_size,
+                config.sim_cache_size) == ("interpreted", 99, 7)
 
     def test_garbage_integers_are_ignored(self):
-        config = FlowConfig.from_env({"REPRO_DSE_JOBS": "lots"})
-        assert config.dse_jobs is None
+        config = FlowConfig.from_env({"REPRO_DSE_MEMO_SIZE": "lots"})
+        assert config.dse_memo_size is None
 
     def test_overrides_beat_env(self):
         config = FlowConfig.from_env({"REPRO_SIM_ENGINE": "interpreted"},
@@ -73,14 +64,6 @@ class TestValidation:
     def test_unknown_engine_rejected(self):
         with pytest.raises(FlowError, match="engine"):
             FlowConfig(engine="verilator")
-
-    def test_bad_jobs_rejected(self):
-        with pytest.raises(FlowError, match="dse_jobs"):
-            FlowConfig(dse_jobs=0)
-
-    def test_bad_executor_rejected(self):
-        with pytest.raises(FlowError, match="dse_executor"):
-            FlowConfig(dse_executor="gpu")
 
     def test_with_returns_modified_copy(self):
         base = FlowConfig()
@@ -120,24 +103,6 @@ class TestEnginePrecedence:
         assert config.resolve_engine() == get_default_engine()
         assert config.resolve_engine("compiled") == "compiled"
         assert FlowConfig(engine="compiled").resolve_engine() == "compiled"
-
-
-class TestDsePrecedence:
-    def test_per_call_jobs_beat_config(self):
-        options = FlowConfig(dse_jobs=2).hls_options(jobs=4)
-        assert options.jobs == 4
-
-    def test_config_jobs_beat_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_DSE_JOBS", "8")
-        assert FlowConfig(dse_jobs=2).hls_options().jobs == 2
-
-    def test_env_jobs_used_when_config_inherits(self, monkeypatch):
-        monkeypatch.setenv("REPRO_DSE_JOBS", "8")
-        assert FlowConfig().hls_options().jobs == 8
-
-    def test_executor_passthrough(self):
-        assert FlowConfig(dse_executor="process").hls_options().executor == \
-            "process"
 
 
 class TestCacheBounds:

@@ -1,9 +1,14 @@
-"""Golden tests for the DSE fast path: memoization, pruning, parallelism.
+"""Golden tests for the DSE fast path: memoization, pruning, graph reuse.
 
 Every combination of :class:`HLSOptions` must pick the same schedules and
-emit byte-identical Verilog as the seed-equivalent (serial, unpruned,
-unmemoized) sweep — that is the fast path's contract.
+emit byte-identical Verilog as the seed-equivalent (unpruned, unmemoized,
+graph-rebuilding) sweep — that is the fast path's contract.
 """
+
+import dataclasses
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -46,23 +51,6 @@ def test_fast_path_matches_seed_bit_for_bit(kernel):
     assert fast_report.dse_scheduled < fast_report.dse_evaluations
 
 
-@pytest.mark.parametrize("kernel", sorted(KERNEL_PARAMS))
-def test_parallel_dse_is_deterministic_and_identical(kernel):
-    serial_text, serial_report = _compile(kernel, HLSOptions(jobs=1))
-    thread_text, thread_report = _compile(kernel, HLSOptions(jobs=4))
-    assert thread_text == serial_text
-    # The same loops end up with the same chosen IIs.
-    assert ([loop.initiation_interval for loop in thread_report.loops]
-            == [loop.initiation_interval for loop in serial_report.loops])
-
-
-def test_parallel_process_pool_identical_on_gemm():
-    serial_text, _ = _compile("gemm", HLSOptions(jobs=1))
-    process_text, _ = _compile("gemm", HLSOptions(jobs=2,
-                                                  executor="process"))
-    assert process_text == serial_text
-
-
 class TestPruning:
     def test_pruning_skips_points_but_keeps_the_choice(self):
         artifacts = build_kernel("transpose", **KERNEL_PARAMS["transpose"])
@@ -72,7 +60,7 @@ class TestPruning:
         clear_schedule_memo()
         full = explore_loop(loop, options=HLSOptions.seed_equivalent())
         clear_schedule_memo()
-        pruned = explore_loop(loop, options=HLSOptions(jobs=1))
+        pruned = explore_loop(loop, options=HLSOptions())
         assert pruned.pruned > 0
         assert pruned.evaluations == full.evaluations  # points examined
         assert len(pruned.candidates) < len(full.candidates)
@@ -90,7 +78,7 @@ class TestPruning:
             clear_schedule_memo()
             full = explore_loop(loop, options=HLSOptions.seed_equivalent())
             clear_schedule_memo()
-            fast = explore_loop(loop, options=HLSOptions(jobs=1))
+            fast = explore_loop(loop, options=HLSOptions())
             assert (full.chosen.initiation_interval
                     == fast.chosen.initiation_interval)
             assert full.chosen.cost == fast.chosen.cost
@@ -103,12 +91,12 @@ class TestMemoization:
         loops = collect_innermost_loops(
             program.function(artifacts.hls_function).body)
         clear_schedule_memo()
-        first = explore_loop(loops[0][0], options=HLSOptions(jobs=1))
+        first = explore_loop(loops[0][0], options=HLSOptions())
         # Without port pragmas the three port scalings are identical design
         # points, so even the first sweep hits its own memo entries.
         assert first.scheduled > 0 and schedule_memo_size() > 0
         # Re-exploring the same loop answers everything from the cache.
-        again = explore_loop(loops[0][0], options=HLSOptions(jobs=1))
+        again = explore_loop(loops[0][0], options=HLSOptions())
         assert again.scheduled == 0
         assert again.memo_hits == len(again.candidates)
         assert (again.chosen.initiation_interval
@@ -121,7 +109,7 @@ class TestMemoization:
         program = artifacts.hls_program
         for loop, _ in collect_innermost_loops(
                 program.function(artifacts.hls_function).body):
-            explore_loop(loop, options=HLSOptions(jobs=1))
+            explore_loop(loop, options=HLSOptions())
         assert schedule_memo_size() <= 2
         clear_schedule_memo()
 
@@ -131,7 +119,7 @@ class TestMemoization:
         program = artifacts.hls_program
         loop, _ = collect_innermost_loops(
             program.function(artifacts.hls_function).body)[0]
-        explore_loop(loop, options=HLSOptions(jobs=1, memoize=False))
+        explore_loop(loop, options=HLSOptions(memoize=False))
         assert schedule_memo_size() == 0
 
 
@@ -156,15 +144,19 @@ class TestGraphSignature:
                 != graph_signature(DFGBuilder().build(s_loop.body)))
 
 
-class TestOptions:
-    def test_env_defaults(self, monkeypatch):
-        monkeypatch.setenv("REPRO_DSE_JOBS", "3")
-        monkeypatch.setenv("REPRO_DSE_EXECUTOR", "process")
-        options = HLSOptions()
-        assert options.jobs == 3 and options.executor == "process"
+class TestSerialSweep:
+    def test_options_are_the_three_fast_path_switches(self):
+        assert ({field.name for field in dataclasses.fields(HLSOptions)}
+                == {"memoize", "prune", "reuse_graphs"})
 
-    def test_invalid_options_rejected(self):
-        with pytest.raises(ValueError):
-            HLSOptions(jobs=0)
-        with pytest.raises(ValueError):
-            HLSOptions(executor="rayon")
+    def test_import_loads_no_worker_pools(self):
+        # The DSE sweep is serial: importing the HLS package must not pull
+        # in concurrent.futures or multiprocessing (a cold-CLI import cost).
+        probe = ("import sys, repro.hls; "
+                 "print(sorted(name for name in sys.modules if name.split('.')[0] "
+                 "in ('concurrent', 'multiprocessing')))")
+        src = os.path.join(os.path.dirname(__file__), "..", "..", "src")
+        env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+        result = subprocess.run([sys.executable, "-c", probe], env=env,
+                                capture_output=True, text=True, check=True)
+        assert result.stdout.strip() == "[]"
